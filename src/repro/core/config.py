@@ -60,8 +60,9 @@ class MixConfig:
     #: where contained crashes write their minimized repro reports
     crash_dir: str = ".repro-crashes"
     #: worker processes for the parallel engine (``--jobs``; see
-    #: repro.parallel).  1 = the serial path, byte for byte.  Defaults
-    #: from the REPRO_JOBS environment variable (CI equivalence runs).
+    #: repro.parallel).  1 = no fan-out; output is identical at any
+    #: value.  Defaults from the REPRO_JOBS environment variable (CI
+    #: equivalence runs).
     jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
     #: speculative-dispatch policy under ``--jobs N`` (``--schedule``;
     #: see repro.schedule): "fifo" = PR 4's one-task-per-item fan-out,

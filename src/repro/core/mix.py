@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
+    from repro.parallel import ParallelEngine
     from repro.witness import Witness
 
 from repro import smt
@@ -51,16 +52,6 @@ class MixTypeError(TypeError_):
         self.witness = witness
 
 
-def _engine_available() -> bool:
-    """Whether fork fan-out is possible here.  An analyzer built where
-    it is not (inside a pool worker, or on fork-less platforms) must
-    take the serial path byte for byte — parallel mode is more than a
-    cache warm, it also switches symbol-naming discipline."""
-    from repro.parallel import ParallelEngine
-
-    return ParallelEngine.available()
-
-
 class Mix:
     """The mixed analysis: a type checker and a symbolic executor, each
     hooked to delegate the other's blocks."""
@@ -85,15 +76,16 @@ class Mix:
             "feasibility_checks": 0,
             "budget_breaches": 0,
         }
-        if self.config.jobs > 1 and _engine_available():
+        self._parallel: Optional[ParallelEngine] = None
+        if self.config.jobs > 1:
             from repro.parallel import ParallelEngine
-            from repro.schedule import make_scheduler
 
-            self._parallel: Optional[ParallelEngine] = ParallelEngine(
-                self.config.jobs, scheduler=make_scheduler(self.config)
-            )
-        else:
-            self._parallel = None
+            if ParallelEngine.available():
+                from repro.schedule import make_scheduler
+
+                self._parallel = ParallelEngine(
+                    self.config.jobs, scheduler=make_scheduler(self.config)
+                )
         #: Degradation notices (GOOD_ENOUGH mode only): budget breaches
         #: that truncated exploration instead of rejecting the program.
         self.warnings: list[str] = []

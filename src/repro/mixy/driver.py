@@ -81,6 +81,7 @@ from repro.smt.simplify import simplify
 from repro.trace import TRACER
 
 if TYPE_CHECKING:
+    from repro.parallel import ParallelEngine
     from repro.witness import Witness
 
 
@@ -137,8 +138,9 @@ class MixyConfig:
     #: worker processes for the parallel engine (``--jobs``; see
     #: repro.parallel): each fixpoint round's symbolic frontier is
     #: speculatively fanned out and the warmed query cache merged back
-    #: before the authoritative serial pass.  1 = the serial path, byte
-    #: for byte.  Defaults from the REPRO_JOBS environment variable.
+    #: before the authoritative serial pass.  1 = no fan-out; output is
+    #: identical at any value.  Defaults from the REPRO_JOBS environment
+    #: variable.
     jobs: int = field(default_factory=lambda: _env_int("REPRO_JOBS", 1))
     #: speculative-dispatch policy under ``--jobs N`` (``--schedule``;
     #: see repro.schedule): "fifo" = one task per frontier block,
@@ -154,8 +156,8 @@ class MixyConfig:
     )
     #: cross-run analysis store (``--store DIR``; see repro.store): an
     #: opened :class:`repro.store.AnalysisStore`, or None.  Block-result
-    #: memos are consulted/recorded only on the serial path with no
-    #: budget, witness validation, or fault injection — exactly the
+    #: memos are consulted/recorded only with no budget, witness
+    #: validation, or fault injection (at any ``jobs``) — exactly the
     #: conditions under which a skipped block's observable effects can
     #: be replayed bit for bit (see _analyze_symbolic_inner).
     store: Optional[object] = None
@@ -171,14 +173,14 @@ class _CacheEntry:
 class _BlockExecution:
     """One symbolic block execution's results plus the bookkeeping the
     cross-run store needs to replay it: null conclusions as indices into
-    the (deterministic) watched list, and how many fresh symbols /
-    addresses execution consumed (a store hit fast-forwards past them so
-    later blocks' names match a cold run's exactly)."""
+    the (deterministic) watched list, and how many fresh symbols (per
+    hint) and addresses execution consumed (a store hit fast-forwards
+    past them so later names match a cold run's exactly)."""
 
     null_slots: list[QVar]
     warnings: list[CWarning]
     null_indices: tuple[int, ...]
-    symbols_consumed: int
+    symbols_consumed: dict[str, int]
     addresses_consumed: int
     typed_calls_delta: int
 
@@ -203,13 +205,6 @@ class _ReplayContext:
 #: Warning kinds whose presence means the block run abstracted something
 #: the concrete replay executes for real — never classify DIVERGED then.
 _INEXACT_KINDS = (CErrKind.RECURSION, CErrKind.UNSUPPORTED, CErrKind.BUDGET)
-
-
-def _engine_available() -> bool:
-    """Whether fork fan-out is possible here (see repro.parallel)."""
-    from repro.parallel import ParallelEngine
-
-    return ParallelEngine.available()
 
 
 class Mixy:
@@ -238,24 +233,22 @@ class Mixy:
         self._entry: tuple[str, str] = ("typed", "main")
         self._cache: dict[tuple, _CacheEntry] = {}
         self._block_stack: list[tuple] = []
+        #: a symbolic entry's execution is live (see _run_symbolic)
+        self._entry_executing = False
         #: entry -> (qualifier-graph edge count, (typed, frontier)); the
         #: call-graph walk is invalidated only when the graph gained edges
         self._partition_cache: dict[str, tuple[int, tuple[frozenset[str], frozenset[str]]]] = {}
         from repro.schedule import make_scheduler
 
         self._scheduler = make_scheduler(self.config)
-        if self.config.jobs > 1 and _engine_available():
+        self._parallel: Optional[ParallelEngine] = None
+        if self.config.jobs > 1:
             from repro.parallel import ParallelEngine
 
-            self._parallel: Optional[ParallelEngine] = ParallelEngine(
-                self.config.jobs, scheduler=self._scheduler
-            )
-        else:
-            # Serial, or built where fork fan-out is impossible (inside
-            # a pool worker, on fork-less platforms): must take the
-            # serial path byte for byte — parallel mode also switches to
-            # block-deterministic symbol naming.
-            self._parallel = None
+            if ParallelEngine.available():
+                self._parallel = ParallelEngine(
+                    self.config.jobs, scheduler=self._scheduler
+                )
         #: Memoized per-block content hashes / wave features (scheduling).
         self._block_hashes: dict[str, str] = {}
         self._block_features: dict[str, frozenset] = {}
@@ -456,13 +449,15 @@ class Mixy:
             smt.get_service().tier_order = self._scheduler.tier_order_for(
                 self.block_content_hash(name)
             )
-        if self._parallel is not None and not self._block_stack:
-            # Parallel mode: block-deterministic naming.  Restarting the
-            # fresh-symbol and address counters at each top-level block
-            # entry makes a block's terms a function of (program, calling
-            # context) alone, so speculative worker verdicts — and earlier
-            # fixpoint rounds' verdicts — hit the cache here.  Never done
-            # at --jobs 1, which must take the serial path byte for byte.
+        if not self._block_stack and not self._entry_executing:
+            # Block-deterministic naming: restarting the fresh-symbol and
+            # address counters at each top-level block entry makes a
+            # block's terms a function of (program, calling context)
+            # alone, so earlier fixpoint rounds' verdicts — and
+            # speculative worker verdicts — hit the query cache here.  A
+            # block reached while another symbolic execution is live
+            # (nested, or under a symbolic entry) keeps counting, since
+            # its names and cells must not collide with the live ones.
             self.executor.reset_block_counters()
         context_key, context_slots = self._calling_context(fn)
         stack_key = (name, context_key)
@@ -549,13 +544,12 @@ class Mixy:
 
     def _store_active(self) -> bool:
         """Memoization is on only when a skip is provably transparent:
-        serial naming (no parallel reset), no budget (a skip consumes no
-        paths, so breach behavior would differ), no witness validation
-        (replay needs the real execution), no fault injection (the
-        fault schedule indexes live queries)."""
+        no budget (a skip consumes no paths, so breach behavior would
+        differ), no witness validation (replay needs the real
+        execution), no fault injection (the fault schedule indexes live
+        queries)."""
         return (
             self.config.store is not None
-            and self._parallel is None
             and self.config.budget is None
             and not self.config.validate_witnesses
             and smt.get_service().fault_injector is None
@@ -704,7 +698,7 @@ class Mixy:
         state, args = self._materialize_context(fn, context_slots, state, watched)
         warnings_before = len(self.executor.warnings)
         typed_calls_before = self.stats["typed_calls"]
-        alpha_mark, address_mark = self.executor.counter_marks()
+        marks = self.executor.counter_marks()
         saved_context = self._replay_context
         if self.config.validate_witnesses:
             self._replay_context = _ReplayContext(
@@ -721,7 +715,7 @@ class Mixy:
         finally:
             self.executor.global_env = saved_global_env
             self._replay_context = saved_context
-        alpha_after, address_after = self.executor.counter_marks()
+        symbols_consumed, addresses_consumed = self.executor.consumed_since(marks)
         new_warnings = self.executor.warnings[warnings_before:]
         # §4.1 symbolic values -> types: a watched cell whose final value
         # may be 0 on some feasible path constrains its slot to null.
@@ -742,8 +736,8 @@ class Mixy:
             null_slots=null_slots,
             warnings=new_warnings,
             null_indices=tuple(null_indices),
-            symbols_consumed=alpha_after - alpha_mark,
-            addresses_consumed=address_after - address_mark,
+            symbols_consumed=symbols_consumed,
+            addresses_consumed=addresses_consumed,
             typed_calls_delta=self.stats["typed_calls"] - typed_calls_before,
         )
 
@@ -1141,6 +1135,7 @@ class Mixy:
                 self.executor.stats["lazy_objects"],
                 len(self.executor.warnings),
             )
+        self._entry_executing = True
         try:
             for _result in self.executor.execute_function(fn, args, state):
                 pass
@@ -1151,6 +1146,7 @@ class Mixy:
                 raise
             self._contain_block_crash(error, fn)
         finally:
+            self._entry_executing = False
             self._replay_context = saved_context
 
     def _eval_global_init(self, init, state: CState) -> Optional[smt.Term]:

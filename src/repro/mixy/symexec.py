@@ -24,8 +24,6 @@ limitation behind the paper's Case 4.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from typing import Callable, Iterator, Optional
@@ -207,12 +205,10 @@ class CSymExecutor:
             Callable[[CState, smt.Term, CWarning], Optional[object]]
         ] = None
         self.witnesses: dict[tuple, object] = {}
-        #: next fresh-symbol ordinal; a plain int (not itertools.count)
-        #: so the cross-run block store can snapshot and fast-forward it
-        self._alpha = 1
-        #: per-hint fresh-symbol counters; installed (non-None) only by
-        #: reset_block_counters, i.e. only ever in parallel mode
-        self._hint_alpha: Optional[defaultdict] = None
+        #: hint -> last fresh-symbol ordinal issued under that hint; a
+        #: plain dict so the cross-run block store can diff and
+        #: fast-forward it (see reset_block_counters for why per hint)
+        self._hint_alpha: dict[str, int] = {}
         self._next_address = 1
         self.fn_addresses: dict[str, int] = {}
         self.stats = {
@@ -240,49 +236,60 @@ class CSymExecutor:
         return base
 
     def reset_block_counters(self) -> None:
-        """Switch to block-deterministic naming and rewind allocation to
-        its post-init point (function addresses stay put).  The parallel
-        engine calls this at each *top-level* block entry so a block's
-        terms depend only on (program, calling context), making them
-        identical between a speculative worker run, the parent's
-        authoritative run, and re-runs in later fixpoint rounds — which
-        is what lets the query cache match across processes and rounds.
+        """Restart naming and rewind allocation to its post-init point
+        (function addresses stay put).  The driver calls this at each
+        *top-level* block entry, so a block's terms depend only on
+        (program, calling context).  They are then identical across
+        fixpoint rounds, and between a speculative worker run and the
+        parent's authoritative run, which is what lets the query cache
+        match across rounds and processes.
 
-        Naming becomes *per hint* rather than one global sequence: a
-        context change that adds one fresh symbol (say a global turning
-        may-null adds its ``_isnull`` choice) must not shift the names of
-        every later symbol, or no formula from the previous round would
-        ever match again.  Distinct hints yield distinct names and the
+        Naming is *per hint* rather than one global sequence: a context
+        change that adds one fresh symbol (say a global turning may-null
+        adds its ``_isnull`` choice) must not shift the names of every
+        later symbol, or no formula from the previous round would ever
+        match again.  Distinct hints yield distinct names and the
         per-hint sequence keeps repeats of one hint apart, so uniqueness
-        within a path condition is preserved.  Blocks use disjoint fresh
-        states, so reused names/addresses can never collide within one
-        path.  Serial mode (``--jobs 1``) never calls this."""
-        self._hint_alpha = defaultdict(lambda: itertools.count(1))
+        within a path condition is preserved.  Top-level blocks use
+        disjoint fresh states, so reused names/addresses can never
+        collide within one path."""
+        self._hint_alpha = {}
         self._next_address = self._address_base
 
-    def counter_marks(self) -> tuple[int, int]:
-        """(fresh-symbol ordinal, next address) — a peek, consuming
-        nothing.  The cross-run block store diffs two marks to learn how
-        many symbols/addresses a block's execution consumed, so a store
-        hit can :meth:`fast_forward` past them and leave every later
-        block's names exactly where a cold run would have put them."""
-        return self._alpha, self._next_address
+    def counter_marks(self) -> tuple[dict[str, int], int]:
+        """(per-hint fresh-symbol ordinals, next address) — a snapshot,
+        consuming nothing.  The cross-run block store takes one before a
+        block's execution and asks :meth:`consumed_since` afterwards, so
+        a store hit can :meth:`fast_forward` past what it consumed and
+        leave every later name exactly where a cold run would have put
+        it (this matters for blocks nested in another block's run)."""
+        return dict(self._hint_alpha), self._next_address
 
-    def fast_forward(self, symbols: int, addresses: int) -> None:
-        """Advance the serial naming counters as if ``symbols`` fresh
-        symbols and ``addresses`` cells had been allocated (store hits
-        replaying a skipped execution; serial naming only — the
-        block-deterministic mode has nothing to fast-forward)."""
-        assert self._hint_alpha is None, "fast_forward is serial-only"
-        self._alpha += symbols
+    def consumed_since(
+        self, marks: tuple[dict[str, int], int]
+    ) -> tuple[dict[str, int], int]:
+        """(fresh symbols drawn per hint, cells allocated) since
+        ``marks`` — the arguments :meth:`fast_forward` replays."""
+        symbols, address = marks
+        consumed = {
+            hint: ordinal - symbols.get(hint, 0)
+            for hint, ordinal in self._hint_alpha.items()
+            if ordinal != symbols.get(hint, 0)
+        }
+        return consumed, self._next_address - address
+
+    def fast_forward(self, symbols: dict[str, int], addresses: int) -> None:
+        """Advance the naming counters as if ``symbols[hint]`` fresh
+        symbols had been drawn under each hint and ``addresses`` cells
+        allocated (a store hit replaying a skipped execution)."""
+        for hint, count in symbols.items():
+            self._hint_alpha[hint] = self._hint_alpha.get(hint, 0) + count
         self._next_address += addresses
 
     def fresh_symbol(self, hint: str = "c") -> smt.Term:
-        if self._hint_alpha is not None:
-            return smt.var(f"{hint}!{next(self._hint_alpha[hint])}", smt.INT)
-        name = f"{hint}!{self._alpha}"
-        self._alpha += 1
-        return smt.var(name, smt.INT)
+        ordinal = self._hint_alpha.get(hint, 0) + 1
+        self._hint_alpha[hint] = ordinal
+        return smt.var(f"{hint}!{ordinal}", smt.INT)
 
     def object_size(self, ctype: CType) -> int:
         if isinstance(ctype, StructType):

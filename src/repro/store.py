@@ -8,7 +8,7 @@ that reuse survive the process: a small on-disk store that a later run
 — or a long-lived ``repro serve`` daemon across restarts — loads to
 start warm.
 
-Layout of one store directory (format version 2)::
+Layout of one store directory (format version 3)::
 
     .repro-store/
       meta.json            # manifest: schema, generation, per-section CRCs
@@ -67,7 +67,7 @@ from typing import Optional
 
 from repro.fsio import atomic_write, checksummed_write, read_checksummed
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 STORE_SCHEMA = "repro-store"
 
 #: The persisted sections, in save order.

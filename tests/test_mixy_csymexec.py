@@ -240,3 +240,34 @@ class TestCalls:
         """
         ex, _ = run_function(src, "f", make_args=lambda e: [e.fresh_symbol("h")])
         assert any(w.kind is CErrKind.UNSUPPORTED for w in ex.warnings)
+
+
+class TestNaming:
+    """Per-hint fresh-symbol naming and the marks the block store uses
+    to replay a skipped execution's consumption."""
+
+    def test_names_count_per_hint(self):
+        executor = CSymExecutor(parse_program("int f(void) { return 0; }"))
+        names = [str(executor.fresh_symbol(h)) for h in ("a", "b", "a")]
+        assert names == ["a!1", "b!1", "a!2"]
+        executor.reset_block_counters()
+        assert str(executor.fresh_symbol("a")) == "a!1"
+
+    def test_fast_forward_replays_consumption_per_hint(self):
+        program = parse_program("int f(int *p) { return *p; }")
+        cold, warm = CSymExecutor(program), CSymExecutor(program)
+        for executor in (cold, warm):
+            executor.fresh_symbol("outer")
+        marks = cold.counter_marks()
+        state = cold.initial_state()
+        args = [cold.fresh_symbol("p")]
+        list(cold.execute_function(program.functions["f"], args, state))
+        symbols, addresses = cold.consumed_since(marks)
+        assert symbols["p"] == 1 and "outer" not in symbols
+        warm.fast_forward(symbols, addresses)
+        for hint in ("outer", "p", "mem"):
+            assert str(warm.fresh_symbol(hint)) == str(cold.fresh_symbol(hint))
+        state = cold.initial_state()
+        _, cold_obj = cold.allocate_object(state, program.functions["f"].ret, "x")
+        _, warm_obj = warm.allocate_object(state, program.functions["f"].ret, "x")
+        assert warm_obj.base == cold_obj.base

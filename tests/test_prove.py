@@ -17,6 +17,7 @@ The contract under test (see ``repro.prove``):
 import glob
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -342,7 +343,11 @@ class TestCrossProcessIdentity:
         args = ["mixy", str(path), "--jobs", "1"]
         first = _run_cli(args, tmp_path, PYTHONHASHSEED="3")
         second = _run_cli(args, tmp_path, PYTHONHASHSEED="91")
-        assert first.stdout == second.stdout
+        # The summary line ends in the elapsed time; every other byte
+        # must match exactly.
+        elapsed = re.compile(r"; \d+\.\d{3}s$", re.MULTILINE)
+        assert elapsed.search(first.stdout)
+        assert elapsed.sub("", first.stdout) == elapsed.sub("", second.stdout)
         assert first.returncode == second.returncode
 
 

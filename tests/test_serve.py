@@ -31,6 +31,7 @@ from repro.serve import (
     request,
     request_with_retry,
 )
+from repro.store import STORE_VERSION
 
 #: Fast corpus (qualifier inference only — no symbolic blocks).
 SOURCE = CASES["case1"].source(False)
@@ -268,15 +269,15 @@ class TestDaemonEndToEnd:
         assert after["ok"] and after["result"] == expected
 
     def test_corrupt_store_degrades_to_cold_service(self, tmp_path):
-        # A v2 store whose only recorded generation fails its checksum in
-        # every section: the daemon must note the corruption, start cold,
-        # and still answer identically to a fresh one-shot run.
+        # A current-format store whose only recorded generation fails its
+        # checksum in every section: the daemon must note the corruption,
+        # start cold, and still answer identically to a fresh one-shot run.
         store_dir = tmp_path / "store"
         store_dir.mkdir()
         (store_dir / "solver-cache.1.pkl").write_bytes(b"garbage")
         (store_dir / "blocks.1.pkl").write_bytes(b"\x80")
         (store_dir / "meta.json").write_text(json.dumps({
-            "schema": "repro-store", "version": 2, "generation": 1,
+            "schema": "repro-store", "version": STORE_VERSION, "generation": 1,
             "sections": {
                 "solver-cache": {
                     "file": "solver-cache.1.pkl", "crc32": 1, "size": 7,

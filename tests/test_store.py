@@ -46,14 +46,14 @@ def _fresh_process_state():
     values._STRING_CODES.clear()
 
 
-def _analyze(store=None, budget=None, source=SOURCE):
-    """One serial MIXY run in a reproducible process state; returns
-    (warning texts, store-stat snapshot)."""
+def _analyze(store=None, budget=None, source=SOURCE, jobs=1):
+    """One MIXY run in a reproducible process state; returns (warning
+    texts, store-stat snapshot)."""
     _fresh_process_state()
     if store is not None:
         store.load_into_service(smt.get_service())
     config = MixyConfig(budget=budget)
-    config.jobs = 1  # the memo is serial-only; don't inherit REPRO_JOBS
+    config.jobs = jobs  # explicit: don't inherit REPRO_JOBS
     config.store = store
     mixy = Mixy(source, config)
     warnings = [str(w) for w in mixy.run()]
@@ -146,18 +146,22 @@ class TestStoreRoundTrip:
 
     def test_warm_run_is_bitwise_identical_and_hits(self, tmp_path):
         cold_warnings, _ = _analyze(source=STAIRCASE)
-        store = AnalysisStore.open(str(tmp_path / "store"))
-        first_warnings, first_stats = _analyze(store, source=STAIRCASE)
-        store.save(smt.get_service())
-        assert first_warnings == cold_warnings
-        assert first_stats["mixy_records"] > 0
+        # One naming discipline at every --jobs: the memo records and
+        # replays under the parallel engine too, and stays transparent.
+        for jobs in (1, 2):
+            root = str(tmp_path / f"store-jobs{jobs}")
+            store = AnalysisStore.open(root)
+            first_warnings, first_stats = _analyze(store, source=STAIRCASE, jobs=jobs)
+            store.save(smt.get_service())
+            assert first_warnings == cold_warnings
+            assert first_stats["mixy_records"] > 0
 
-        warm = AnalysisStore.open(str(tmp_path / "store"))
-        assert warm.notes == []
-        warm_warnings, warm_stats = _analyze(warm, source=STAIRCASE)
-        assert warm_warnings == cold_warnings
-        assert warm_stats["mixy_hits"] > 0
-        assert warm_stats["solver_entries_loaded"] > 0
+            warm = AnalysisStore.open(root)
+            assert warm.notes == []
+            warm_warnings, warm_stats = _analyze(warm, source=STAIRCASE, jobs=jobs)
+            assert warm_warnings == cold_warnings
+            assert warm_stats["mixy_hits"] > 0
+            assert warm_stats["solver_entries_loaded"] > 0
 
     def test_memo_is_inactive_under_a_budget(self, tmp_path):
         store = AnalysisStore.open(str(tmp_path / "store"))
