@@ -10,6 +10,16 @@ Canonicalization divides by the gcd of the coefficients and *tightens* the
 constant (``k -> floor(k / g)``), which is sound and complete over the
 integers and lets the rational simplex refute systems such as
 ``3x - 3y = 1`` that plain branch-and-bound cannot.
+
+:func:`atom_from_comparison` is memoized across calls on ``(kind, left,
+right)``.  Building an atom is a pure function of interned terms, which
+hash by identity and are held by the term table for the life of the
+process, so a key is never reused for another comparison; ``LinAtom`` is
+frozen, so every caller can share one instance, and threads racing to
+fill an entry store equal atoms.  A comparison that raises (nonlinear,
+ill-sorted) is not recorded and raises again on every call.
+:func:`repro.smt.service.reset_service` clears the memo, so a fresh
+service starts as cold as a fresh process.
 """
 
 from __future__ import annotations
@@ -116,8 +126,27 @@ def linearize(term: Term) -> tuple[dict[Term, int], int]:
     return coeffs, constant
 
 
+#: (kind, left, right) -> atom for every comparison built since the last
+#: :func:`clear_memo` (see the module docstring)
+_ATOM_MEMO: dict[tuple[Kind, Term, Term], LinAtom] = {}
+
+
 def atom_from_comparison(kind: Kind, left: Term, right: Term) -> LinAtom:
     """Build the canonical atom for ``left <= right`` or ``left < right``."""
+    key = (kind, left, right)
+    atom = _ATOM_MEMO.get(key)
+    if atom is None:
+        atom = _ATOM_MEMO[key] = _build_atom(kind, left, right)
+    return atom
+
+
+def clear_memo() -> None:
+    """Forget every memoized atom (``smt.reset_service`` calls this)."""
+    _ATOM_MEMO.clear()
+
+
+def _build_atom(kind: Kind, left: Term, right: Term) -> LinAtom:
+    """The uncached builder behind :func:`atom_from_comparison`."""
     lc, lk = linearize(left)
     rc, rk = linearize(right)
     coeffs = dict(lc)

@@ -51,6 +51,8 @@ from repro.budget import Budget
 from repro.trace import TRACER
 from repro.smt.intsolve import IntBudgetExceeded, check_integer
 from repro.smt.linear import LinAtom, atom_from_comparison
+from repro.smt.linear import clear_memo as clear_atom_memo
+from repro.smt.simplify import clear_memo as clear_simplify_memo, simplify
 from repro.smt.sat import SatCancelled
 from repro.smt.solver import Model, SatResult, Solver, SolverError
 from repro.smt.terms import (
@@ -995,8 +997,6 @@ class SolverService:
         if strategy == "simplify":
             # Verdict-preserving rewrite of each conjunct before
             # encoding; the cache key stays the original conjunct set.
-            from repro.smt.simplify import simplify
-
             goal = frozenset(simplify(c) for c in conjuncts)
         self.stats.full_solves += 1
         solver = Solver(
@@ -1122,5 +1122,9 @@ def set_service(service: SolverService) -> SolverService:
 
 
 def reset_service() -> SolverService:
-    """Replace the process-wide service with a fresh one."""
+    """Replace the process-wide service with a fresh one, and clear the
+    ``simplify`` and linear-atom memos so it starts as cold as a fresh
+    process."""
+    clear_simplify_memo()
+    clear_atom_memo()
     return set_service(SolverService())

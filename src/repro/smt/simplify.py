@@ -12,6 +12,19 @@ uninterpreted applications (Ackermann expansion in
 :mod:`repro.smt.preprocess`).  The McCarthy memory logs built by the
 symbolic executor (Figure 3 of the paper) are exactly chains of stores
 over an arbitrary base memory, so this rewrite fully eliminates stores.
+
+``simplify`` is memoized across calls in one module-level table from each
+input term to its output.  The pass is a pure function of an interned
+term: terms hash and compare by identity, and the term table in
+:mod:`repro.smt.terms` holds every term for the life of the process, so a
+key is never reused for another term and the memo keeps no term alive
+that the table would not.  Only input -> output pairs are recorded (an
+output is not assumed to be its own fixpoint), so a warm call returns
+exactly what a cold one computes, and the memo has at most one entry per
+interned term.  Threads racing to fill an entry store the same interned
+result.  :func:`repro.smt.service.reset_service` clears the memo, so a
+fresh service starts as cold as a fresh process; forked workers inherit
+it copy-on-write.
 """
 
 from __future__ import annotations
@@ -39,33 +52,36 @@ from repro.smt.terms import (
 )
 
 
+#: input -> output of every ``simplify`` call and sub-call since the last
+#: :func:`clear_memo`; keyed on the interned term (see the module docstring)
+_MEMO: dict[Term, Term] = {}
+
+
 def simplify(term: Term) -> Term:
     """Return a simplified term equivalent to ``term``."""
-    return _Simplifier().run(term)
+    cached = _MEMO.get(term)
+    if cached is not None:
+        return cached
+    args = tuple(simplify(a) for a in term.args)
+    result = _rebuild(term, args)
+    _MEMO[term] = result
+    return result
 
 
-class _Simplifier:
-    def __init__(self) -> None:
-        self._memo: dict[Term, Term] = {}
+def clear_memo() -> None:
+    """Forget every memoized result (``smt.reset_service`` calls this)."""
+    _MEMO.clear()
 
-    def run(self, term: Term) -> Term:
-        cached = self._memo.get(term)
-        if cached is not None:
-            return cached
-        args = tuple(self.run(a) for a in term.args)
-        result = self._rebuild(term, args)
-        self._memo[term] = result
-        return result
 
-    def _rebuild(self, term: Term, args: tuple[Term, ...]) -> Term:
-        kind = term.kind
-        handler = _HANDLERS.get(kind)
-        if handler is not None:
-            return handler(term, args)
-        if args == term.args:
-            return term
-        # Kinds without special handling (VAR, constants, APPLY, STORE).
-        return _reapply(term, args)
+def _rebuild(term: Term, args: tuple[Term, ...]) -> Term:
+    """Simplify ``term`` whose arguments are already simplified to ``args``."""
+    handler = _HANDLERS.get(term.kind)
+    if handler is not None:
+        return handler(term, args)
+    if args == term.args:
+        return term
+    # Kinds without special handling (VAR, constants, APPLY, STORE).
+    return _reapply(term, args)
 
 
 def _reapply(term: Term, args: tuple[Term, ...]) -> Term:

@@ -116,7 +116,7 @@ class FuncDecl:
 class Term:
     """A hash-consed term.  Do not instantiate directly; use constructors."""
 
-    __slots__ = ("kind", "sort", "args", "payload", "_id", "__weakref__")
+    __slots__ = ("kind", "sort", "args", "payload")
 
     kind: Kind
     sort: Sort

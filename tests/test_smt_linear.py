@@ -3,18 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.smt import INT, add, int_const, mul, neg, sub, var
 from repro.smt.intsolve import IntBudgetExceeded, check_integer
 from repro.smt.linear import (
+    _ATOM_MEMO,
     LinAtom,
     NonlinearError,
+    _build_atom,
     atom_from_comparison,
+    clear_memo,
     linearize,
     make_atom,
 )
 from repro.smt.simplex import check_rational
-from repro.smt.terms import Kind
+from repro.smt.terms import Kind, SortError
+from tests.test_smt_property import int_terms
 
 x = var("x", INT)
 y = var("y", INT)
@@ -75,6 +81,27 @@ class TestCanonicalAtoms:
     def test_zero_coefficients_dropped(self):
         atom = make_atom({x: 0, y: 1}, 2)
         assert dict(atom.coeffs) == {y: 1}
+
+
+class TestAtomMemo:
+    """``atom_from_comparison`` memoizes across calls; the memo must be
+    invisible."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([Kind.LE, Kind.LT]), int_terms(2), int_terms(2))
+    def test_memoized_atom_is_uncached_atom(self, kind, left, right):
+        atom = atom_from_comparison(kind, left, right)
+        assert atom_from_comparison(kind, left, right) is atom
+        assert atom == _build_atom(kind, left, right)
+
+    def test_failures_raise_every_time_and_are_not_memoized(self):
+        clear_memo()
+        for _ in range(2):
+            with pytest.raises(NonlinearError):
+                atom_from_comparison(Kind.LE, mul(x, y), z)
+            with pytest.raises(SortError):
+                atom_from_comparison(Kind.EQ, x, y)
+        assert not _ATOM_MEMO
 
 
 class TestSimplex:

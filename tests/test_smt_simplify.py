@@ -1,5 +1,10 @@
 """Unit tests for the term simplifier."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.smt.simplify as simplify_module
+from repro import smt
 from repro.smt import (
     BOOL,
     INT,
@@ -25,8 +30,10 @@ from repro.smt import (
     true,
     var,
 )
+from repro.smt.linear import _ATOM_MEMO, atom_from_comparison
 from repro.smt.simplify import simplify
 from repro.smt.terms import Kind
+from tests.test_smt_property import bool_terms, int_terms
 
 x = var("x", INT)
 y = var("y", INT)
@@ -133,3 +140,45 @@ class TestIdempotence:
         for term in terms:
             once = simplify(term)
             assert simplify(once) is once
+
+
+class TestMemo:
+    """``simplify`` memoizes across calls; the memo must be invisible."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(int_terms(2), bool_terms(2)))
+    def test_warm_result_is_cold_result(self, term):
+        first = simplify(term)  # the memo is warm from earlier examples
+        warm = simplify(term)
+        simplify_module.clear_memo()
+        cold = simplify(term)
+        assert first is cold and warm is cold
+
+    def test_reset_service_clears_both_memos(self):
+        simplify(and_(p, lt(x, y)))
+        atom_from_comparison(Kind.LE, x, y)
+        assert simplify_module._MEMO and _ATOM_MEMO
+        smt.reset_service()
+        assert not simplify_module._MEMO and not _ATOM_MEMO
+
+    def test_guard_chain_is_not_resimplified(self, monkeypatch):
+        # The symbolic executor's path guard grows one conjunct at a time:
+        # g = simplify(g and c).  Each step must reuse the simplified
+        # prefix instead of re-simplifying the whole chain (quadratic:
+        # 60,699 rebuilds for 200 steps without the memo).
+        rebuilds = 0
+        rebuild = simplify_module._rebuild
+
+        def counting(term, args):
+            nonlocal rebuilds
+            rebuilds += 1
+            return rebuild(term, args)
+
+        monkeypatch.setattr(simplify_module, "_rebuild", counting)
+        simplify_module.clear_memo()
+        conjuncts = [lt(var(f"x{i}", INT), int_const(i)) for i in range(200)]
+        guard = true()
+        for conjunct in conjuncts:
+            guard = simplify(and_(guard, conjunct))
+        assert guard is and_(*conjuncts)
+        assert rebuilds <= 1200
