@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
@@ -221,14 +222,19 @@ class Mixy:
         self.qual = QualInference(
             program, self.config.qual, callees_of=self.points_to.callees
         )
+        # The executor calls back into the driver through weak method
+        # references: a bound method would make driver and executor a
+        # reference cycle, so each finished analysis (AST, qualifier
+        # graph, caches) would wait for a full collection instead of
+        # being freed when its driver is dropped.
         self.executor = CSymExecutor(
             program,
             self.config.csym,
-            call_hook=self._typed_call_hook,
+            call_hook=_weak_method(self._typed_call_hook),
             budget=self.config.budget,
         )
         if self.config.validate_witnesses:
-            self.executor.witness_checker = self._check_witness
+            self.executor.witness_checker = _weak_method(self._check_witness)
         self._replay_context: Optional[_ReplayContext] = None
         self._entry: tuple[str, str] = ("typed", "main")
         self._cache: dict[tuple, _CacheEntry] = {}
@@ -1161,6 +1167,13 @@ class Mixy:
         return None
 
 
+def _weak_method(method):
+    """A callable that forwards to ``method`` without keeping its object
+    alive (the object must outlive every call)."""
+    ref = weakref.WeakMethod(method)
+    return lambda *args: ref()(*args)
+
+
 def _is_havoc(term: smt.Term) -> bool:
     from repro.smt.terms import Kind
 
@@ -1176,14 +1189,11 @@ def _find_calls(fn: CFunction) -> list[tuple[Call, str]]:
         Binary,
         Block,
         Cast,
-        CExpr,
         Check,
-        CStmt,
         Deref,
         ExprStmt,
         Field,
         If,
-        Malloc,
         Return,
         Unary,
         VarDecl,
@@ -1191,49 +1201,44 @@ def _find_calls(fn: CFunction) -> list[tuple[Call, str]]:
     )
 
     calls: list[tuple[Call, str]] = []
-
-    def walk_expr(e: CExpr) -> None:
-        if isinstance(e, Call):
-            calls.append((e, fn.name))
-            walk_expr(e.fn)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, (Deref, AddrOf)):
-            walk_expr(e.ptr if isinstance(e, Deref) else e.target)
-        elif isinstance(e, Field):
-            walk_expr(e.obj)
-        elif isinstance(e, Unary):
-            walk_expr(e.operand)
-        elif isinstance(e, Binary):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, Assign):
-            walk_expr(e.lhs)
-            walk_expr(e.rhs)
-        elif isinstance(e, Cast):
-            walk_expr(e.operand)
-        elif isinstance(e, (Assume, Check)):
-            walk_expr(e.cond)
-
-    def walk_stmt(s: CStmt) -> None:
-        if isinstance(s, Block):
-            for inner in s.stmts:
-                walk_stmt(inner)
-        elif isinstance(s, VarDecl) and s.init is not None:
-            walk_expr(s.init)
-        elif isinstance(s, ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            if s.els is not None:
-                walk_stmt(s.els)
-        elif isinstance(s, While):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, Return) and s.value is not None:
-            walk_expr(s.value)
-
-    if fn.body is not None:
-        walk_stmt(fn.body)
+    # Pre-order, left to right, with an explicit stack of statements and
+    # expressions (recursive closures would leave a reference cycle
+    # behind on every call).  Children are pushed in reverse.
+    stack: list[object] = [] if fn.body is None else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            calls.append((node, fn.name))
+            stack.extend(reversed(node.args))
+            stack.append(node.fn)
+        elif isinstance(node, Deref):
+            stack.append(node.ptr)
+        elif isinstance(node, AddrOf):
+            stack.append(node.target)
+        elif isinstance(node, Field):
+            stack.append(node.obj)
+        elif isinstance(node, (Unary, Cast)):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += (node.right, node.left)
+        elif isinstance(node, Assign):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, (Assume, Check)):
+            stack.append(node.cond)
+        elif isinstance(node, Block):
+            stack.extend(reversed(node.stmts))
+        elif isinstance(node, VarDecl):
+            if node.init is not None:
+                stack.append(node.init)
+        elif isinstance(node, ExprStmt):
+            stack.append(node.expr)
+        elif isinstance(node, If):
+            if node.els is not None:
+                stack.append(node.els)
+            stack += (node.then, node.cond)
+        elif isinstance(node, While):
+            stack += (node.body, node.cond)
+        elif isinstance(node, Return):
+            if node.value is not None:
+                stack.append(node.value)
     return calls

@@ -920,16 +920,28 @@ class CSymExecutor:
     # -- calls -----------------------------------------------------------------------
 
     def _eval_call(self, expr: Call, frame: "_Frame", state: CState):
-        # Evaluate arguments left to right.
-        def eval_args(args, s, acc):
-            if not args:
-                yield s, list(acc)
-                return
-            for s1, value in self._eval(args[0], frame, s):
-                yield from eval_args(args[1:], s1, acc + [value])
-
-        for s1, arg_values in eval_args(list(expr.args), state, []):
-            yield from self._dispatch_call(expr, arg_values, frame, s1)
+        # Evaluate arguments left to right, depth-first over each one's
+        # outcomes.  An explicit stack of argument generators stands in
+        # for a recursive closure, which would leave a reference cycle
+        # behind on every call.
+        args = expr.args
+        if not args:
+            yield from self._dispatch_call(expr, [], frame, state)
+            return
+        values: list[smt.Term] = []
+        pending = [self._eval(args[0], frame, state)]
+        while pending:
+            outcome = next(pending[-1], None)
+            if outcome is None:
+                pending.pop()
+                continue
+            s1, value = outcome
+            del values[len(pending) - 1 :]
+            values.append(value)
+            if len(pending) == len(args):
+                yield from self._dispatch_call(expr, list(values), frame, s1)
+            else:
+                pending.append(self._eval(args[len(pending)], frame, s1))
 
     def _dispatch_call(self, expr: Call, args: list[smt.Term], frame: "_Frame", state: CState):
         target: Optional[str] = None

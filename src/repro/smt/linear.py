@@ -25,8 +25,7 @@ service starts as cold as a fresh process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from repro.smt.terms import INT, Kind, SortError, Term
 
@@ -79,9 +78,22 @@ def make_atom(coeffs: dict[Term, int], constant: int) -> LinAtom:
         g = gcd(g, abs(c))
     if g > 1:
         nonzero = {v: c // g for v, c in nonzero.items()}
-        constant = floor(Fraction(constant, g))
+        constant //= g  # floor division: the integer tightening
     ordered = tuple(sorted(nonzero.items(), key=lambda item: str(item[0])))
     return LinAtom(ordered, constant)
+
+
+def atom_order_key(atom: LinAtom) -> tuple:
+    """The canonical order of atoms handed to the integer engine.
+
+    A structural key: the atom's (variable name, coefficient) pairs in
+    their canonical order, then its constant.  Integer variables are
+    interned by name, so two atoms share a key only if they are equal.
+    Sorting by it makes the simplex and branch-and-bound path of a
+    conjunction independent of object ids, hence the same in every
+    process (set and SAT-variable orders follow ids).
+    """
+    return tuple((v.payload, c) for v, c in atom.coeffs), atom.constant
 
 
 def linearize(term: Term) -> tuple[dict[Term, int], int]:
@@ -95,25 +107,26 @@ def linearize(term: Term) -> tuple[dict[Term, int], int]:
         raise SortError(f"linearize expects an Int term, got {term.sort}")
     coeffs: dict[Term, int] = {}
     constant = 0
-
-    def walk(node: Term, scale: int) -> None:
-        nonlocal constant
+    # Depth-first, left to right, with an explicit stack (a recursive
+    # closure would leave a reference cycle behind on every call).
+    stack: list[tuple[Term, int]] = [(term, 1)]
+    while stack:
+        node, scale = stack.pop()
         kind = node.kind
         if kind is Kind.CONST_INT:
             constant += scale * node.payload  # type: ignore[operator]
         elif kind is Kind.VAR:
             coeffs[node] = coeffs.get(node, 0) + scale
         elif kind is Kind.ADD:
-            for a in node.args:
-                walk(a, scale)
+            stack.extend((a, scale) for a in reversed(node.args))
         elif kind is Kind.NEG:
-            walk(node.args[0], -scale)
+            stack.append((node.args[0], -scale))
         elif kind is Kind.MUL:
             left, right = node.args
             if left.kind is Kind.CONST_INT:
-                walk(right, scale * left.payload)  # type: ignore[operator]
+                stack.append((right, scale * left.payload))  # type: ignore[operator]
             elif right.kind is Kind.CONST_INT:
-                walk(left, scale * right.payload)  # type: ignore[operator]
+                stack.append((left, scale * right.payload))  # type: ignore[operator]
             else:
                 raise NonlinearError(f"nonlinear product: {node}")
         else:
@@ -121,8 +134,6 @@ def linearize(term: Term) -> tuple[dict[Term, int], int]:
                 f"unexpected integer leaf {node} (kind {kind.value}); "
                 "preprocessing should have replaced it with a variable"
             )
-
-    walk(term, 1)
     return coeffs, constant
 
 

@@ -49,8 +49,8 @@ from typing import Callable, Deque, Iterable, Iterator, Mapping, Optional
 
 from repro.budget import Budget
 from repro.trace import TRACER
-from repro.smt.intsolve import IntBudgetExceeded, check_integer
-from repro.smt.linear import LinAtom, atom_from_comparison
+from repro.smt.intsolve import IntBudgetExceeded, IntResult, check_integer
+from repro.smt.linear import LinAtom, atom_from_comparison, atom_order_key
 from repro.smt.linear import clear_memo as clear_atom_memo
 from repro.smt.simplify import clear_memo as clear_simplify_memo, simplify
 from repro.smt.sat import SatCancelled
@@ -115,6 +115,10 @@ class SolverStats:
     sat_conflicts: int = 0
     sat_restarts: int = 0
     theory_rounds: int = 0
+    #: Simplex pivots and branch-and-bound nodes (one simplex check
+    #: each) spent by the integer theory check, core probes included.
+    simplex_pivots: int = 0
+    bb_nodes: int = 0
     # Resource-governor breach counters (see repro.budget).
     #: Queries that hit the per-query timeout and degraded to UNKNOWN.
     query_timeouts: int = 0
@@ -197,6 +201,8 @@ class SolverStats:
             "sat_conflicts": self.sat_conflicts,
             "sat_restarts": self.sat_restarts,
             "theory_rounds": self.theory_rounds,
+            "simplex_pivots": self.simplex_pivots,
+            "bb_nodes": self.bb_nodes,
             "query_timeouts": self.query_timeouts,
             "deadline_breaches": self.deadline_breaches,
             "path_budget_breaches": self.path_budget_breaches,
@@ -250,6 +256,8 @@ class SolverStats:
         "sat_conflicts",
         "sat_restarts",
         "theory_rounds",
+        "simplex_pivots",
+        "bb_nodes",
         "query_timeouts",
         "deadline_breaches",
         "path_budget_breaches",
@@ -1019,6 +1027,8 @@ class SolverService:
             self.stats.sat_conflicts += solver.stats["sat_conflicts"]
             self.stats.sat_restarts += solver.stats["sat_restarts"]
             self.stats.theory_rounds += solver.stats["theory_rounds"]
+            self.stats.simplex_pivots += solver.stats["simplex_pivots"]
+            self.stats.bb_nodes += solver.stats["bb_nodes"]
         if solver.timed_out:
             self.stats.query_timeouts += 1
         model = solver.model() if result is SatResult.SAT else None
@@ -1047,21 +1057,42 @@ class SolverService:
             if lits is None:
                 return None
             pairs.append((term, lits))
+        # The lazy loop's canonical theory order (conjuncts with equal
+        # atoms ordered by their text), so the core below does not
+        # depend on frozenset (id) order either.
+        pairs.sort(
+            key=lambda pair: ([atom_order_key(a) for a in pair[1]], str(pair[0]))
+        )
         self.stats.full_solves += 1
         started = time.perf_counter()
         try:
-            result = check_integer(
-                [a for _, lits in pairs for a in lits], budget=int_budget
+            result = self._check_integer(
+                [a for _, lits in pairs for a in lits], int_budget
             )
+            if result is None:
+                # Same degradation the lazy loop's theory check would reach.
+                return SatResult.UNKNOWN, None
             if not result.feasible:
                 self._last_core = self._minimize_conjunct_core(pairs, int_budget)
-        except IntBudgetExceeded:
-            # Same degradation the lazy loop's theory check would reach.
-            return SatResult.UNKNOWN, None
         finally:
             self.stats.solve_seconds += time.perf_counter() - started
             self.stats.theory_rounds += 1
         return (SatResult.SAT if result.feasible else SatResult.UNSAT), None
+
+    def _check_integer(
+        self, atoms: list[LinAtom], int_budget: int
+    ) -> Optional[IntResult]:
+        """One direct integer check, with its work counted; None when
+        branch-and-bound ran out of budget."""
+        try:
+            result = check_integer(atoms, budget=int_budget)
+        except IntBudgetExceeded as exc:
+            self.stats.bb_nodes += exc.nodes
+            self.stats.simplex_pivots += exc.pivots
+            return None
+        self.stats.bb_nodes += result.nodes
+        self.stats.simplex_pivots += result.pivots
+        return result
 
     #: Above this many conjuncts, deletion-based minimization costs more
     #: than the re-solves it can ever save (mirrors Solver's own bound).
@@ -1081,15 +1112,10 @@ class SolverService:
             if self.cancel_check is not None and self.cancel_check():
                 raise SatCancelled  # race lost mid-minimization
             candidate = core[:i] + core[i + 1 :]
-            try:
-                result = check_integer(
-                    [a for _, lits in candidate for a in lits],
-                    budget=int_budget,
-                )
-            except IntBudgetExceeded:
-                i += 1
-                continue
-            if result.feasible:
+            result = self._check_integer(
+                [a for _, lits in candidate for a in lits], int_budget
+            )
+            if result is None or result.feasible:
                 i += 1
             else:
                 core = candidate

@@ -7,23 +7,49 @@ bound ``k``; the tableau expresses basic variables over non-basic ones; a
 pivoting loop with Bland's rule repairs bound violations and either reaches
 a feasible assignment or proves infeasibility.
 
-All arithmetic is exact (:class:`fractions.Fraction`), so the verdicts are
-sound — there is no floating-point drift.
+All arithmetic is exact, so the verdicts are sound — there is no
+floating-point drift.  It is also *int-first*: atoms have integer
+coefficients and constants, so bounds, row coefficients and the initial
+assignment are plain Python ``int``.  A :class:`fractions.Fraction` appears
+only where a pivot divides by a coefficient that does not divide evenly
+(:func:`_div`); every other operation is int or mixed int/``Fraction``
+arithmetic, which stays exact.  No value is ever a ``float``.  A
+conjunction with no multi-variable row (bounds only) never pivots: its
+answer is each variable clamped from 0 into its bounds.
+
+The result is a function of the atom sequence alone: variables are
+ordered by first appearance, Bland's rule follows that order, and the
+returned assignment lists them in it.  Callers that want the same answer
+in every process pass atoms in a canonical order
+(:func:`repro.smt.linear.atom_order_key`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Union
 
 from repro.smt.linear import LinAtom
+
+#: An exact simplex value: ``int`` until a pivot divides unevenly.
+Number = Union[int, Fraction]
 
 
 @dataclass
 class SimplexResult:
     feasible: bool
-    assignment: dict[Hashable, Fraction] = field(default_factory=dict)
+    assignment: dict[Hashable, Number] = field(default_factory=dict)
+    #: Pivots the check took (an exact, deterministic work counter).
+    pivots: int = 0
+
+
+def _div(a: Number, b: Number) -> Number:
+    """Exact ``a / b``: an ``int`` when it divides evenly, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 class Simplex:
@@ -31,21 +57,20 @@ class Simplex:
 
     def __init__(self) -> None:
         # Tableau: rows[basic] = {nonbasic: coeff}; basic = sum(coeff * nb).
-        self._rows: dict[Hashable, dict[Hashable, Fraction]] = {}
-        self._assignment: dict[Hashable, Fraction] = {}
-        self._lower: dict[Hashable, Fraction] = {}
-        self._upper: dict[Hashable, Fraction] = {}
+        self._rows: dict[Hashable, dict[Hashable, Number]] = {}
+        self._assignment: dict[Hashable, Number] = {}
+        self._lower: dict[Hashable, Number] = {}
+        self._upper: dict[Hashable, Number] = {}
         self._slack_index: dict[tuple[tuple[Hashable, int], ...], Hashable] = {}
         self._order: dict[Hashable, int] = {}
-        self._next_order = 0
+        self.pivots = 0
 
     # -- construction --------------------------------------------------------
 
     def _register(self, v: Hashable) -> None:
         if v not in self._order:
-            self._order[v] = self._next_order
-            self._next_order += 1
-            self._assignment.setdefault(v, Fraction(0))
+            self._order[v] = len(self._order)
+            self._assignment[v] = 0
 
     def add_atom(self, atom: LinAtom) -> None:
         """Assert ``atom`` (``sum coeffs <= constant``)."""
@@ -55,13 +80,13 @@ class Simplex:
                 # bound on a dedicated variable.
                 v = ("__false__",)
                 self._register(v)
-                self._set_upper(v, Fraction(-1))
-                self._set_lower(v, Fraction(0))
+                self._set_upper(v, -1)
+                self._set_lower(v, 0)
             return
         if len(atom.coeffs) == 1:
             ((v, c),) = atom.coeffs
             self._register(v)
-            bound = Fraction(atom.constant, c)
+            bound = _div(atom.constant, c)
             if c > 0:
                 self._set_upper(v, bound)
             else:
@@ -73,26 +98,26 @@ class Simplex:
             slack = ("__slack__", len(self._slack_index))
             self._slack_index[key] = slack
             self._register(slack)
-            row: dict[Hashable, Fraction] = {}
+            row: dict[Hashable, Number] = {}
             for v, c in atom.coeffs:
                 self._register(v)
-                row[v] = Fraction(c)
+                row[v] = c
             self._rows[slack] = row
             self._recompute(slack)
-        self._set_upper(slack, Fraction(atom.constant))
+        self._set_upper(slack, atom.constant)
 
-    def _set_upper(self, v: Hashable, bound: Fraction) -> None:
+    def _set_upper(self, v: Hashable, bound: Number) -> None:
         current = self._upper.get(v)
         if current is None or bound < current:
             self._upper[v] = bound
 
-    def _set_lower(self, v: Hashable, bound: Fraction) -> None:
+    def _set_lower(self, v: Hashable, bound: Number) -> None:
         current = self._lower.get(v)
         if current is None or bound > current:
             self._lower[v] = bound
 
     def set_bounds(
-        self, v: Hashable, lower: Optional[Fraction], upper: Optional[Fraction]
+        self, v: Hashable, lower: Optional[Number], upper: Optional[Number]
     ) -> None:
         """Externally constrain a variable (used by branch-and-bound)."""
         self._register(v)
@@ -102,46 +127,51 @@ class Simplex:
             self._set_upper(v, upper)
 
     def _recompute(self, basic: Hashable) -> None:
-        row = self._rows[basic]
-        self._assignment[basic] = sum(
-            (c * self._assignment[v] for v, c in row.items()), Fraction(0)
-        )
+        assignment = self._assignment
+        total: Number = 0
+        for v, c in self._rows[basic].items():
+            total += c * assignment[v]
+        assignment[basic] = total
 
     # -- solving --------------------------------------------------------------
 
     def check(self) -> SimplexResult:
         """Decide feasibility of all asserted rows and bounds."""
+        lower, upper = self._lower, self._upper
         # Immediately contradictory bounds are infeasible regardless of the
         # tableau, and catching them here keeps the pivot loop cycle-free.
-        for v in self._order:
-            lo, hi = self._lower.get(v), self._upper.get(v)
-            if lo is not None and hi is not None and lo > hi:
+        for v, lo in lower.items():
+            hi = upper.get(v)
+            if hi is not None and lo > hi:
                 return SimplexResult(False)
         # Ensure non-basic variables sit within their own bounds.
-        for v in list(self._order):
-            if v in self._rows:
+        rows, assignment = self._rows, self._assignment
+        for v in self._order:
+            if v in rows:
                 continue
-            value = self._assignment[v]
-            lo, hi = self._lower.get(v), self._upper.get(v)
+            value = assignment[v]
+            lo, hi = lower.get(v), upper.get(v)
             if lo is not None and value < lo:
                 self._update_nonbasic(v, lo)
             elif hi is not None and value > hi:
                 self._update_nonbasic(v, hi)
+        if not rows:
+            # Bounds only: the clamped assignment is the answer.
+            return SimplexResult(True, dict(assignment))
         while True:
             violated = self._find_violated_basic()
             if violated is None:
-                return SimplexResult(True, dict(self._assignment))
+                return SimplexResult(True, dict(assignment), self.pivots)
             basic, need_increase = violated
             pivot = self._find_pivot(basic, need_increase)
             if pivot is None:
-                return SimplexResult(False)
-            target = (
-                self._lower[basic] if need_increase else self._upper[basic]
-            )
+                return SimplexResult(False, pivots=self.pivots)
+            target = lower[basic] if need_increase else upper[basic]
             self._pivot_and_update(basic, pivot, target)
+            self.pivots += 1
 
     def _find_violated_basic(self) -> Optional[tuple[Hashable, bool]]:
-        candidates = sorted(self._rows, key=lambda v: self._order[v])
+        candidates = sorted(self._rows, key=self._order.__getitem__)
         for basic in candidates:
             value = self._assignment[basic]
             lo = self._lower.get(basic)
@@ -154,7 +184,7 @@ class Simplex:
 
     def _find_pivot(self, basic: Hashable, need_increase: bool) -> Optional[Hashable]:
         row = self._rows[basic]
-        for nonbasic in sorted(row, key=lambda v: self._order[v]):  # Bland's rule
+        for nonbasic in sorted(row, key=self._order.__getitem__):  # Bland's rule
             coeff = row[nonbasic]
             value = self._assignment[nonbasic]
             hi = self._upper.get(nonbasic)
@@ -171,7 +201,7 @@ class Simplex:
                 return nonbasic
         return None
 
-    def _update_nonbasic(self, v: Hashable, value: Fraction) -> None:
+    def _update_nonbasic(self, v: Hashable, value: Number) -> None:
         delta = value - self._assignment[v]
         if delta == 0:
             return
@@ -182,14 +212,14 @@ class Simplex:
                 self._assignment[basic] += coeff * delta
 
     def _pivot_and_update(
-        self, basic: Hashable, nonbasic: Hashable, target: Fraction
+        self, basic: Hashable, nonbasic: Hashable, target: Number
     ) -> None:
         row = self._rows.pop(basic)
         coeff = row.pop(nonbasic)
         # basic = coeff * nonbasic + rest  =>  nonbasic = (basic - rest)/coeff
-        new_row: dict[Hashable, Fraction] = {basic: Fraction(1) / coeff}
+        new_row: dict[Hashable, Number] = {basic: _div(1, coeff)}
         for v, c in row.items():
-            new_row[v] = -c / coeff
+            new_row[v] = _div(-c, coeff)
         self._rows[nonbasic] = new_row
         # Substitute into every other row.
         for other, other_row in self._rows.items():
@@ -198,7 +228,7 @@ class Simplex:
             c = other_row.pop(nonbasic, None)
             if c:
                 for v, nc in new_row.items():
-                    updated = other_row.get(v, Fraction(0)) + c * nc
+                    updated = other_row.get(v, 0) + c * nc
                     if updated:
                         other_row[v] = updated
                     else:
@@ -207,16 +237,15 @@ class Simplex:
         # moving the (new) basic variable.
         delta = target - self._assignment[basic]
         self._assignment[basic] = target
-        self._assignment[nonbasic] += delta / coeff
-        for b, r in self._rows.items():
-            if b is nonbasic:
-                continue
-            self._recompute(b)
+        self._assignment[nonbasic] += _div(delta, coeff)
+        for b in self._rows:
+            if b is not nonbasic:
+                self._recompute(b)
 
 
 def check_rational(
     atoms: Iterable[LinAtom],
-    bounds: Optional[dict[Hashable, tuple[Optional[Fraction], Optional[Fraction]]]] = None,
+    bounds: Optional[dict[Hashable, tuple[Optional[Number], Optional[Number]]]] = None,
 ) -> SimplexResult:
     """One-shot rational feasibility of a conjunction of atoms."""
     simplex = Simplex()

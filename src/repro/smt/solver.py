@@ -50,8 +50,8 @@ from enum import Enum, unique
 from typing import Callable, Iterable, Optional
 
 from repro.smt.cnf import CnfBuilder
-from repro.smt.intsolve import IntBudgetExceeded, check_integer
-from repro.smt.linear import LinAtom, atom_from_comparison
+from repro.smt.intsolve import IntBudgetExceeded, IntResult, check_integer
+from repro.smt.linear import LinAtom, atom_from_comparison, atom_order_key
 from repro.smt.preprocess import Preprocessor
 from repro.smt.sat import SatCancelled, SatSolver, SatTimeout
 from repro.smt.terms import (
@@ -246,6 +246,8 @@ class Solver:
             "theory_rounds": 0,
             "sat_conflicts": 0,
             "sat_restarts": 0,
+            "simplex_pivots": 0,
+            "bb_nodes": 0,
         }
         # Persistent engine state (created lazily on first check).
         self._pre: Optional[Preprocessor] = None
@@ -407,11 +409,11 @@ class Solver:
                     value = bool_model[sat_var]
                     literal = sat_var if value else -sat_var
                     asserted.append((literal, atom if value else atom.negate()))
-                try:
-                    result = check_integer(
-                        [a for _, a in asserted], budget=self._int_budget
-                    )
-                except IntBudgetExceeded:
+                # Canonical theory order: SAT variable numbers follow
+                # set-iteration (id) order, the atoms' structure does not.
+                asserted.sort(key=lambda pair: atom_order_key(pair[1]))
+                result = self._check_integer([a for _, a in asserted])
+                if result is None:
                     return SatResult.UNKNOWN
                 if result.feasible:
                     self._model = self._build_model(cnf, pre, bool_model, result.model)
@@ -440,18 +442,25 @@ class Solver:
             if self._cancel is not None and self._cancel():
                 raise SatCancelled  # race lost mid-minimization: abort now
             candidate = core[:i] + core[i + 1 :]
-            try:
-                result = check_integer(
-                    [a for _, a in candidate], budget=self._int_budget
-                )
-            except IntBudgetExceeded:
-                i += 1
-                continue
-            if result.feasible:
+            result = self._check_integer([a for _, a in candidate])
+            if result is None or result.feasible:
                 i += 1
             else:
                 core = candidate
         return core
+
+    def _check_integer(self, atoms: list[LinAtom]) -> Optional[IntResult]:
+        """One integer theory check, with its work counted; None when
+        branch-and-bound ran out of budget."""
+        try:
+            result = check_integer(atoms, budget=self._int_budget)
+        except IntBudgetExceeded as exc:
+            self.stats["bb_nodes"] += exc.nodes
+            self.stats["simplex_pivots"] += exc.pivots
+            return None
+        self.stats["bb_nodes"] += result.nodes
+        self.stats["simplex_pivots"] += result.pivots
+        return result
 
     def _build_model(
         self,

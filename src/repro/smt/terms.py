@@ -134,12 +134,8 @@ class Term:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Term objects are immutable")
 
-    # Hash-consing makes identity equality sound and fast.
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
+    # Hash-consing makes identity equality sound, so ``__eq__`` and
+    # ``__hash__`` are inherited from ``object``: identity, hashed in C.
 
     def __repr__(self) -> str:
         return f"<Term {self}>"

@@ -1,10 +1,13 @@
 """Tests for the mini-C symbolic executor (Otter substitute)."""
 
+import gc
+
 import pytest
 
 from repro import smt
 from repro.mixy.c import parse_program
-from repro.mixy.symexec import CErrKind, CSymConfig, CSymExecutor
+from repro.mixy.c.typeinfo import TypeInfo
+from repro.mixy.symexec import CErrKind, CSymConfig, CSymExecutor, _Frame
 
 
 def run_function(source, name, make_args=None, config=None):
@@ -240,6 +243,44 @@ class TestCalls:
         """
         ex, _ = run_function(src, "f", make_args=lambda e: [e.fresh_symbol("h")])
         assert any(w.kind is CErrKind.UNSUPPORTED for w in ex.warnings)
+
+
+class TestCallArguments:
+    SOURCE = """
+int g(int a, int b, int c);
+int h(void) { if (symbolic()) { return 2; } return 3; }
+int k(int a, int b, int c) { return a * 100 + b * 10 + c; }
+int f(void) { return g(1, 2, 4); }
+int fork(void) { return k(1, h(), 4); }
+"""
+
+    def _call(self, name):
+        program = parse_program(self.SOURCE)
+        executor = CSymExecutor(program)
+        fn = program.functions[name]
+        frame = _Frame(
+            fn, {}, TypeInfo(program, {}), 0,
+            lazy_budget=executor.config.max_lazy_objects_per_path,
+        )
+        return executor, frame, fn.body.stmts[0].value
+
+    def test_each_argument_outcome_gets_its_own_call(self):
+        executor, frame, call = self._call("fork")
+        outcomes = list(executor._eval_call(call, frame, executor.initial_state()))
+        assert sorted(str(ret) for _, ret in outcomes) == ["124", "134"]
+
+    def test_leaves_no_cyclic_garbage(self):
+        executor, frame, call = self._call("f")
+        state = executor.initial_state()
+        gc.collect()
+        gc.disable()
+        try:
+            outcomes = list(executor._eval_call(call, frame, state))
+            assert len(outcomes) == 1
+            del outcomes
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestNaming:

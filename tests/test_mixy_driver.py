@@ -1,10 +1,19 @@
 """Tests for the MIXY driver: the four paper cases and the §4.1-4.4
 machinery (translation, fixpoint, caching, recursion, aliasing)."""
 
+import gc
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.mixy import Mixy, MixyConfig
+from repro.mixy.c import parse_program
+from repro.mixy.c.ast import IntLit
 from repro.mixy.corpus import CASES, combined_program
+from repro.mixy.driver import _find_calls
 from repro.mixy.qual import QualConfig
 from repro.mixy.symexec import CSymConfig
 
@@ -349,3 +358,97 @@ class TestBlockDeterministicNaming:
         assert [str(w) for w in warnings] == [
             "[symbolic] possible NULL dereference in main: *n is NULL"
         ]
+
+
+class TestFindCalls:
+    SOURCE = """
+int g(int a);
+int h(int a, int b);
+int f(int p) {
+  int x = g(h(1, g(2)));
+  if (p) { x = g(3); } else { while (x) { x = h(x, g(4)); } }
+  return h(g(5), 6);
+}
+"""
+
+    def _calls(self):
+        return _find_calls(parse_program(self.SOURCE).functions["f"])
+
+    def test_pre_order_left_to_right(self):
+        def label(call):
+            first = call.args[0] if call.args else None
+            arg = first.value if isinstance(first, IntLit) else "*"
+            return f"{call.fn.name}({arg})"
+
+        assert [label(c) for c, _ in self._calls()] == [
+            "g(*)", "h(1)", "g(2)", "g(3)", "h(*)", "g(4)", "h(*)", "g(5)",
+        ]
+        assert {fn for _, fn in self._calls()} == {"f"}
+
+    def test_leaves_no_cyclic_garbage(self):
+        fn = parse_program(self.SOURCE).functions["f"]
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(_find_calls(fn)) == 8
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """Driver and executor form no reference cycle (the executor's hooks
+    hold the driver weakly), so a dropped analysis is freed at once
+    rather than at the next full collection."""
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_dropped_analysis_leaves_no_cyclic_garbage(self, validate):
+        source = CASES["case1"].source(False)
+
+        def analyze():
+            mixy = Mixy(source, MixyConfig(validate_witnesses=validate))
+            return [str(w) for w in mixy.run(entry="typed", entry_function="main")]
+
+        first = analyze()  # pays lazy imports and fills the solver memos
+        gc.collect()
+        gc.disable()
+        try:
+            assert analyze() == first and first
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+_THEORY_WORK = """
+import itertools, json, sys
+from repro import smt
+from repro.mixy import Mixy, MixyConfig
+from repro.mixy.corpus_vsftpd import parallel_vsftpd
+from repro.mixy.qual import QVar
+pad = [object() for _ in range(int(sys.argv[1]))]  # shift object ids
+smt.reset_service()
+QVar._ids = itertools.count(1)
+Mixy(parallel_vsftpd(1), MixyConfig(jobs=1)).run()
+stats = smt.get_service().stats
+print(json.dumps([stats.full_solves, stats.simplex_pivots, stats.bb_nodes]))
+"""
+
+
+class TestTheoryWorkIsDeterministic:
+    """Atoms reach the integer engine in a canonical (structural) order,
+    so pivots and branch-and-bound nodes are exact counters: equal in
+    fresh processes whose object ids and hash seeds differ."""
+
+    def test_pivots_and_nodes_match_across_processes(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        counts = []
+        for pad, seed in ((0, "1"), (4099, "2")):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", _THEORY_WORK, str(pad)],
+                capture_output=True, text=True, env=env, timeout=300, check=True,
+            ).stdout
+            counts.append(json.loads(out.splitlines()[-1]))
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0 and counts[0][2] > 0

@@ -1,5 +1,6 @@
 """Unit tests for linear atom extraction, simplex, and integer search."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from repro.smt.linear import (
     NonlinearError,
     _build_atom,
     atom_from_comparison,
+    atom_order_key,
     clear_memo,
     linearize,
     make_atom,
@@ -53,6 +55,17 @@ class TestLinearize:
         assert coeffs == {x: 1}
 
 
+    def test_leaves_no_cyclic_garbage(self):
+        term = add(mul(int_const(3), sub(x, y)), neg(add(z, int_const(4))))
+        gc.collect()
+        gc.disable()
+        try:
+            assert linearize(term) == ({x: 3, y: -3, z: -1}, -4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestCanonicalAtoms:
     def test_gcd_tightening(self):
         # 3x <= 4  tightens to  x <= 1.
@@ -77,6 +90,30 @@ class TestCanonicalAtoms:
     def test_atom_from_lt_adjusts_constant(self):
         atom = atom_from_comparison(Kind.LT, x, int_const(5))
         assert atom.constant == 4
+
+    def test_tightening_floors_negative_constants(self):
+        # 2x - 4y <= -3  tightens to  x - 2y <= floor(-3/2) = -2.
+        atom = make_atom({x: 2, y: -4}, -3)
+        assert atom.constant == -2 and type(atom.constant) is int
+
+    def test_order_key_is_structural(self):
+        atoms = [
+            make_atom({y: 1}, 0),
+            make_atom({x: 1, y: -1}, 2),
+            make_atom({x: 1}, 5),
+            make_atom({x: 1, y: -1}, -1),
+            make_atom({x: -1}, 5),
+        ]
+        ordered = sorted(atoms, key=atom_order_key)
+        assert [str(a) for a in ordered] == [
+            "-1*x <= 5",
+            "x <= 5",
+            "x + -1*y <= -1",
+            "x + -1*y <= 2",
+            "y <= 0",
+        ]
+        # Equal atoms, and only those, share a key.
+        assert atom_order_key(make_atom({y: -1, x: 1}, 2)) == atom_order_key(atoms[1])
 
     def test_zero_coefficients_dropped(self):
         atom = make_atom({x: 0, y: 1}, 2)
@@ -145,6 +182,52 @@ class TestSimplex:
         assert check_rational(atoms).feasible
 
 
+    def test_bounds_only_values_are_ints_clamped_from_zero(self):
+        atoms = [
+            make_atom({x: 1}, 5),
+            make_atom({x: -1}, -3),  # 3 <= x <= 5
+            make_atom({y: 1}, -2),  # y <= -2
+            make_atom({z: -1}, 4),  # z >= -4: 0 already fits
+        ]
+        result = check_rational(atoms)
+        assert result.feasible and result.pivots == 0
+        assert list(result.assignment.items()) == [(x, 3), (y, -2), (z, 0)]
+        assert all(type(v) is int for v in result.assignment.values())
+
+    def test_one_pivot_gives_exact_fractions(self):
+        # 2x + 3y >= 7 with x <= 0.  x cannot move up, so Bland's rule
+        # pivots on y: y = 7/3, and the row becomes y = -1/3 s - 2/3 x.
+        atoms = [make_atom({x: -2, y: -3}, -7), make_atom({x: 1}, 0)]
+        result = check_rational(atoms)
+        assert result.feasible and result.pivots == 1
+        assert list(result.assignment.items()) == [
+            (("__slack__", 0), -7),
+            (x, 0),
+            (y, Fraction(7, 3)),
+        ]
+        assert type(result.assignment[x]) is int
+        assert type(result.assignment[y]) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+                st.integers(-6, 6),
+            ),
+            max_size=6,
+        )
+    )
+    def test_assignment_is_exact_and_never_float(self, rows):
+        atoms = [make_atom({x: a, y: b, z: c}, k) for a, b, c, k in rows]
+        result = check_rational(atoms)
+        assert all(type(v) in (int, Fraction) for v in result.assignment.values())
+        if result.feasible:
+            for atom in atoms:
+                total = sum(c * result.assignment.get(v, 0) for v, c in atom.coeffs)
+                assert total <= atom.constant
+
+
 class TestIntegerSearch:
     def test_integral_model_returned(self):
         atoms = [make_atom({x: 2}, 7), make_atom({x: -2}, -7)]  # 7/2 <= ... tight
@@ -179,6 +262,22 @@ class TestIntegerSearch:
         atoms = [make_atom({x: 1, y: -1}, 0)]
         with pytest.raises(IntBudgetExceeded):
             check_integer(atoms, budget=0)
+
+    def test_work_counters(self):
+        # 2x + 3y = 7, x, y >= 0 needs branching: the root relaxation
+        # puts y at 7/3.
+        atoms = [
+            make_atom({x: 2, y: 3}, 7),
+            make_atom({x: -2, y: -3}, -7),
+            make_atom({x: -1}, 0),
+            make_atom({y: -1}, 0),
+        ]
+        result = check_integer(atoms)
+        assert result.feasible and 2 * result.model[x] + 3 * result.model[y] == 7
+        assert result.nodes > 1 and result.pivots > 0
+        with pytest.raises(IntBudgetExceeded) as raised:
+            check_integer(atoms, budget=1)
+        assert raised.value.nodes == 1 and raised.value.pivots > 0
 
     def test_empty_conjunction_feasible(self):
         assert check_integer([]).feasible

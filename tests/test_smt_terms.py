@@ -32,7 +32,7 @@ from repro.smt import (
     true,
     var,
 )
-from repro.smt.terms import Kind
+from repro.smt.terms import Kind, Term
 
 
 class TestHashConsing:
@@ -56,6 +56,34 @@ class TestHashConsing:
         x = var("x", INT)
         with pytest.raises(AttributeError):
             x.kind = Kind.ADD
+
+
+class TestIdentity:
+    """Hash-consing makes identity the right equality, so ``Term`` keeps
+    ``object``'s ``__eq__``/``__hash__`` (hashed in C)."""
+
+    def test_identity_is_inherited_from_object(self):
+        assert Term.__eq__ is object.__eq__
+        assert Term.__hash__ is object.__hash__
+
+    def test_equality_is_identity(self):
+        t, u = add(var("x", INT), int_const(1)), add(var("y", INT), int_const(1))
+        assert t == t and not (t != t)
+        assert t != u and not (t == u)
+        assert (t == 0) is False and (int_const(0) == 0) is False
+        assert t == add(var("x", INT), int_const(1))
+
+    def test_hash_is_stable(self):
+        t = lt(var("x", INT), int_const(3))
+        assert hash(t) == hash(t) == hash(lt(var("x", INT), int_const(3)))
+
+    def test_interned_terms_key_dicts_and_sets(self):
+        x, y = var("x", INT), var("y", INT)
+        table = {add(x, y): "x+y", x: "x"}
+        assert table[add(x, y)] == "x+y" and table[var("x", INT)] == "x"
+        assert add(y, x) not in table
+        assert {add(x, y), add(x, y), x} == {x, add(x, y)}
+        assert len({var("x", INT), var("x", BOOL)}) == 2
 
 
 class TestSortChecking:
